@@ -35,4 +35,4 @@ pub mod server;
 
 pub use cache::{decode_result, encode_result, CacheStats, ResultCache};
 pub use client::{fetch_metrics, CellResult, Client, SweepReply, Transcript};
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_LINE_BYTES};

@@ -21,12 +21,12 @@ use distda_system::{RunConfig, RunResult};
 use distda_trace::metrics::LogHist;
 use distda_workloads::{suite, Scale, Workload};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,10 @@ pub const RETRY_AFTER_MS: u64 = 250;
 
 /// Upper clamp on the adaptive retry hint (one minute).
 pub const RETRY_AFTER_CAP_MS: u64 = 60_000;
+
+/// The longest request line the daemon reads, newline excluded. A longer
+/// line is answered with a protocol `error` and discarded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration. [`ServeConfig::from_env`] reads the
 /// `DISTDA_SERVE_*` knobs; tests construct it directly (port 0 for an
@@ -119,12 +123,23 @@ struct State {
     workers: usize,
 }
 
+/// Locks `m`, recovering the data if a panicking holder poisoned it, so one
+/// failing connection cannot wedge every later request. Recovery is sound
+/// because every guarded value tolerates an interrupted update: the result
+/// cache decodes (and on disk checksums) every entry it serves, so a torn
+/// entry is a miss; the suite map only ever gains complete entries; and the
+/// registry and service histogram are statistics, where a lost sample is
+/// the worst case.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl State {
     /// Resolves a kernel by either its short paper abbreviation
     /// (`"pch"`) or its display name (`"pointer-chase"`, the name results
     /// and manifests carry).
     fn workload(&self, scale: &str, kernel: &str) -> Option<Workload> {
-        let mut suites = self.suites.lock().unwrap();
+        let mut suites = lock(&self.suites);
         let ws = suites.entry(scale.to_string()).or_insert_with(|| {
             let s = if scale == "eval" {
                 Scale::eval()
@@ -141,7 +156,7 @@ impl State {
     }
 
     fn kernel_names(&self, scale: &str) -> Vec<String> {
-        let mut suites = self.suites.lock().unwrap();
+        let mut suites = lock(&self.suites);
         let ws = suites.entry(scale.to_string()).or_insert_with(|| {
             let s = if scale == "eval" {
                 Scale::eval()
@@ -156,7 +171,7 @@ impl State {
     /// The OpenMetrics snapshot: the ingested run registry plus the
     /// daemon's own counters and gauges, rendered fresh per scrape.
     fn metrics_text(&self) -> String {
-        let mut reg = self.registry.lock().unwrap().clone();
+        let mut reg = lock(&self.registry).clone();
         reg.counter_add("distda_serve_jobs", &[], self.jobs.load(Ordering::SeqCst));
         reg.counter_add(
             "distda_serve_jobs_rejected",
@@ -190,7 +205,7 @@ impl State {
             self.pool.capacity() as f64,
         );
         let (stats, entries, disk_bytes) = {
-            let cache = self.cache.lock().unwrap();
+            let cache = lock(&self.cache);
             (cache.stats(), cache.mem_entries(), cache.disk_bytes())
         };
         reg.gauge_set("distda_serve_cache_hit_ratio", &[], stats.hit_ratio());
@@ -198,11 +213,7 @@ impl State {
         reg.gauge_set("distda_serve_cache_corrupt", &[], stats.corrupt as f64);
         reg.counter_add("distda_serve_cache_evictions", &[], stats.evictions);
         reg.gauge_set("distda_serve_cache_disk_bytes", &[], disk_bytes as f64);
-        reg.hist_merge(
-            "distda_serve_cell_service_ns",
-            &[],
-            &self.service_ns.lock().unwrap(),
-        );
+        reg.hist_merge("distda_serve_cell_service_ns", &[], &lock(&self.service_ns));
         reg.gauge_set(
             "distda_serve_retry_after_ms",
             &[],
@@ -220,7 +231,7 @@ impl State {
     /// either direction cannot strand clients.
     fn retry_after_ms(&self) -> u64 {
         let p50_ns = {
-            let hist = self.service_ns.lock().unwrap();
+            let hist = lock(&self.service_ns);
             if hist.count == 0 {
                 return RETRY_AFTER_MS;
             }
@@ -325,13 +336,33 @@ fn accept_loop(listener: TcpListener, state: Arc<State>, stop: Arc<AtomicBool>) 
 fn handle_connection(stream: TcpStream, state: &State) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let n = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)?;
+        if n == 0 {
             return Ok(()); // client closed
         }
-        let trimmed = line.trim();
+        if line.last() != Some(&b'\n') && n > MAX_LINE_BYTES {
+            writeln!(
+                writer,
+                "{}",
+                protocol::render_error(&format!("request line longer than {MAX_LINE_BYTES} bytes"))
+            )?;
+            discard_line(&mut reader)?;
+            continue;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            writeln!(
+                writer,
+                "{}",
+                protocol::render_error("request line is not UTF-8")
+            )?;
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -347,6 +378,26 @@ fn handle_connection(stream: TcpStream, state: &State) -> std::io::Result<()> {
                 protocol::render_metrics(&state.metrics_text())
             )?,
             Ok(Request::Sweep(req)) => handle_sweep(&mut writer, state, req)?,
+        }
+    }
+}
+
+/// Skips the rest of the current line without buffering it.
+fn discard_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let len = buf.len();
+                reader.consume(len);
+            }
         }
     }
 }
@@ -440,7 +491,7 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
     // and anything already cached is served without queueing.
     let mut states: Vec<CellState> = Vec::with_capacity(cells.len());
     if req.dedupe {
-        let mut cache = state.cache.lock().unwrap();
+        let mut cache = lock(&state.cache);
         let mut seen_in_job: HashMap<String, usize> = HashMap::new();
         for (i, cell) in cells.iter().enumerate() {
             if let Some(&first) = seen_in_job.get(&cell.key) {
@@ -569,11 +620,7 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
         }
         new_ticks += ticks;
         sim_secs_sum += outcome.host_secs;
-        state
-            .service_ns
-            .lock()
-            .unwrap()
-            .observe((outcome.host_secs * 1e9) as u64);
+        lock(&state.service_ns).observe((outcome.host_secs * 1e9) as u64);
         seq += 1;
         writeln!(
             writer,
@@ -594,8 +641,8 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
 
     // Populate the cache and the registry from the fresh results.
     {
-        let mut cache = req.dedupe.then(|| state.cache.lock().unwrap());
-        let mut registry = state.registry.lock().unwrap();
+        let mut cache = req.dedupe.then(|| lock(&state.cache));
+        let mut registry = lock(&state.registry);
         for (i, st) in states.iter().enumerate() {
             if let CellState::Simulated(Ok(r)) = st {
                 if let Some(cache) = cache.as_mut() {
@@ -649,7 +696,7 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
             CellState::Pending => {
                 // A deduped duplicate of a miss: serve it from the cache
                 // the first instance just populated.
-                let fetched = state.cache.lock().unwrap().get(&cell.key);
+                let fetched = lock(&state.cache).get(&cell.key);
                 match fetched {
                     Some(r) => ok_line(job, seq, cell, true, &r),
                     None => protocol::render_result(&protocol::ResultLine {
@@ -696,4 +743,24 @@ fn handle_sweep(writer: &mut TcpStream, state: &State, req: SweepRequest) -> std
             failed,
         )
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = Mutex::new(1);
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = m.lock().unwrap();
+                panic!("poison the lock");
+            })
+            .join()
+        });
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 2);
+    }
 }

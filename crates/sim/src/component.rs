@@ -10,7 +10,7 @@
 //! forgetting one produced exactly the stranded-packet class of bug the
 //! sanitizer exists to catch. Here the enumeration happens once:
 //! components implement [`Component`] and are registered with a
-//! [`Scheduler`], which owns the clock, the busy-path-O(1) wake probe,
+//! [`Scheduler`], which owns the clock, the stage-order wake probe,
 //! idle skip-ahead, the tick budget, the drain loop and the drain audit.
 //!
 //! ## The world parameter
@@ -43,7 +43,6 @@
 //! - [`Component::audit_drained`] asserts conservation invariants of the
 //!   drained state against the [`Sanitizer`].
 
-use crate::calendar::CalendarQueue;
 use crate::profile::Profiler;
 use crate::time::{earliest, Tick};
 use distda_check::Sanitizer;
@@ -182,46 +181,6 @@ pub struct Scheduler<W> {
     prof_slots: Vec<usize>,
     /// Reused `(slot, host_ns)` buffer for profiled ticks.
     prof_scratch: Vec<(usize, u64)>,
-    /// Calendar of each component's last *complete-probe* wake tick:
-    /// orders the next probe so the earliest-wake component is asked
-    /// first and the `== now` early exit triggers immediately on the
-    /// busy path. Purely an ordering heuristic — staleness can cost a
-    /// longer fold, never a wrong result (the fold minimum is
-    /// order-independent).
-    wake_calendar: CalendarQueue,
-    /// Components whose last complete probe reported `None` (probed
-    /// after the calendar's entries).
-    wake_none: Vec<u32>,
-    /// Whether `wake_calendar`/`wake_none` cover every component (false
-    /// after registration or instrument changes: fall back to the
-    /// stage-order scan until the next complete probe).
-    wake_known: bool,
-    /// The component the most recent fold settled on (argmin). While the
-    /// machine is busy the same component usually reports `now` again on
-    /// the next probe, and contractually every candidate is `>= now`, so
-    /// one confirming call proves the whole fold — the busy-path probe is
-    /// a single `next_event` when the hint hits. Purely a heuristic: a
-    /// miss falls through to the ordered scan.
-    wake_hint: Option<u32>,
-    /// The fold result of the most recent probe.
-    wake_cache: Option<Tick>,
-    /// Whether `wake_cache` is still provably current: no tick has
-    /// executed and no external world mutation is possible since the
-    /// probe that filled it (run-loop entries conservatively clear it).
-    /// See `next_wake` for the identity argument.
-    cache_valid: bool,
-    /// Whether the most recent *fresh* probe found nothing due at `now`
-    /// (the machine is coasting between scheduled wakes). While set,
-    /// probes use the plain stage-order scan and skip calendar
-    /// maintenance entirely: on the idle path every probe is complete,
-    /// so rebuilding the calendar each time costs more than the ordering
-    /// heuristic can ever repay. Any fresh `== now` result (hint hit or
-    /// fold early-exit) clears it, restoring calendar-ordered visits for
-    /// busy phases. Cached probe hits never touch it — a scheduled wake
-    /// executing is not a busy phase.
-    idle_streak: bool,
-    /// Reused `(component, candidate)` scratch for calendar rebuilds.
-    cand_scratch: Vec<(u32, Option<Tick>)>,
 }
 
 impl<W> std::fmt::Debug for Scheduler<W> {
@@ -256,16 +215,6 @@ impl<W> Scheduler<W> {
             active_order: Vec::new(),
             prof_slots: Vec::new(),
             prof_scratch: Vec::new(),
-            // 64-tick buckets x 64 buckets: one rotation covers ~683 ns
-            // of simulated time, past which wakes overflow-park.
-            wake_calendar: CalendarQueue::new(6, 64),
-            wake_none: Vec::new(),
-            wake_known: false,
-            wake_hint: None,
-            wake_cache: None,
-            cache_valid: false,
-            idle_streak: false,
-            cand_scratch: Vec::new(),
         }
     }
 
@@ -300,8 +249,6 @@ impl<W> Scheduler<W> {
             self.prof_slots
                 .push(self.instr.prof.register(slot.comp.name()));
         }
-        // `attach` takes `&mut W`: treat the swap as a world mutation.
-        self.invalidate_wakes();
     }
 
     /// Registers a component at tick-phase `stage` and attaches the
@@ -323,20 +270,6 @@ impl<W> Scheduler<W> {
             .copied()
             .filter(|&i| !self.comps[i].comp.passive())
             .collect();
-        // Structural change: the calendar no longer covers every
-        // component, so the next probe falls back to the stage-order scan.
-        self.invalidate_wakes();
-    }
-
-    /// Drops every cached wake: the next probe scans all components in
-    /// stage order and rebuilds the calendar.
-    fn invalidate_wakes(&mut self) {
-        self.wake_calendar.clear();
-        self.wake_none.clear();
-        self.wake_known = false;
-        self.wake_hint = None;
-        self.cache_valid = false;
-        self.idle_streak = false;
     }
 
     /// Registered components in tick (stage) order.
@@ -368,136 +301,20 @@ impl<W> Scheduler<W> {
             }
         }
         self.now += 1;
-        // An executed tick mutates the world: every cached wake is stale.
-        self.cache_valid = false;
     }
 
     /// Earliest base tick `>= now` at which any component would do
     /// observable work, `None` if no component will ever act again
     /// without new input.
     ///
-    /// Every candidate is contractually `>= now` (the sanitizer flags
-    /// violations), so a component reporting `now` is already the global
-    /// minimum and the fold stops early — the probe is O(1) while the
-    /// machine is busy, where skipping cannot pay for itself.
-    ///
-    /// With neither the sanitizer nor the profiler attached, the probe
-    /// runs through a [`CalendarQueue`] of each component's last reported
-    /// wake: components are asked in ascending cached-wake order (so the
-    /// early exit triggers on the first call while the machine is busy),
-    /// and consecutive probes with no executed tick in between reuse the
-    /// previous fold outright. Both are behaviour-identical by the
-    /// protocol contract: `next_event(now, world)` is the minimum `>=
-    /// now` of a fixed event set determined by the (unchanged) world and
-    /// component state, so the fold minimum is independent of probe
-    /// order, and for any `now' ∈ (now, w]` with the world untouched the
-    /// fold still yields `w`. With the sanitizer or profiler attached the
-    /// full stage-order scan runs instead, preserving exact wake-in-past
-    /// check coverage and probe accounting.
-    pub fn next_wake(&mut self, world: &W) -> Option<Tick> {
-        if self.instr.san.on() || self.instr.prof.on() {
-            return self.next_wake_scan(world);
-        }
-        self.next_wake_fast(world)
-    }
-
-    /// The calendar-ordered, cache-reusing probe (instrumentation off).
-    fn next_wake_fast(&mut self, world: &W) -> Option<Tick> {
-        if self.cache_valid {
-            return self.wake_cache;
-        }
-        let now = self.now;
-        // Busy-path shortcut: if the component the last fold settled on
-        // reports `now` again, it is already the global minimum (every
-        // candidate is contractually `>= now`) — no other component needs
-        // to be asked.
-        if let Some(id) = self.wake_hint {
-            if self.comps[id as usize].comp.next_event(now, world) == Some(now) {
-                self.wake_cache = Some(now);
-                self.cache_valid = true;
-                self.idle_streak = false;
-                return Some(now);
-            }
-        }
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        cands.clear();
-        let mut w: Option<Tick> = None;
-        let mut argmin: Option<u32> = None;
-        let mut complete = true;
-        // While coasting through an idle streak every probe is complete
-        // anyway, so calendar-ordered visits buy nothing: scan in stage
-        // order and skip the rebuild below.
-        let coasting = self.idle_streak;
-        {
-            let comps = &self.comps;
-            // Probes one component; after the `now` early-exit fires the
-            // remaining visits degrade to a flag check.
-            let mut probe = |id: u32| {
-                if !complete {
-                    return;
-                }
-                let cand = comps[id as usize].comp.next_event(now, world);
-                cands.push((id, cand));
-                if let Some(c) = cand {
-                    if w.is_none_or(|cur| c < cur) {
-                        argmin = Some(id);
-                    }
-                }
-                w = earliest(w, cand);
-                if w == Some(now) {
-                    complete = false;
-                }
-            };
-            if self.wake_known && !coasting {
-                self.wake_calendar.visit_ascending(|_, id| probe(id));
-                for &id in &self.wake_none {
-                    probe(id);
-                }
-            } else {
-                // Structural fallback and idle streak: plain stage-order
-                // scan.
-                for &i in &self.tick_order {
-                    probe(i as u32);
-                }
-            }
-        }
-        self.wake_hint = argmin;
-        if complete {
-            // Nothing is due at `now`: the machine is idle at a known
-            // horizon. Subsequent probes coast on the stage-order scan.
-            self.idle_streak = true;
-            if !coasting {
-                // First complete probe after a busy phase (or a structural
-                // change): rebuild the calendar from this probe so that
-                // once the machine goes busy again, probes ask in
-                // ascending-wake order. Consecutive complete probes skip
-                // this — on a long idle stretch the rebuild is pure
-                // overhead. An early-exited probe likewise leaves the
-                // previous order in place (the stale order is only a
-                // heuristic).
-                self.wake_calendar.clear_to(now);
-                self.wake_none.clear();
-                for &(id, cand) in &cands {
-                    match cand {
-                        Some(t) => self.wake_calendar.insert(t, id),
-                        None => self.wake_none.push(id),
-                    }
-                }
-                self.wake_known = true;
-            }
-        } else {
-            // A fresh probe found work due at `now`: busy phase.
-            self.idle_streak = false;
-        }
-        self.cand_scratch = cands;
-        self.wake_cache = w;
-        self.cache_valid = true;
-        w
-    }
-
-    /// The instrumented stage-order probe: sanitizer wake-in-past checks
-    /// on every candidate, profiler probe/argmin accounting.
-    fn next_wake_scan(&self, world: &W) -> Option<Tick> {
+    /// A fold over every component in stage order. Every candidate is
+    /// contractually `>= now`, so a component reporting `now` is already
+    /// the global minimum and the fold stops early: the probe is cheap
+    /// while the machine is busy, where skipping cannot pay for itself.
+    /// This is the only probe: with the sanitizer on, every candidate it
+    /// asks for is checked for a wake in the past; with the profiler on,
+    /// it times itself and records the component the fold settled on.
+    pub fn next_wake(&self, world: &W) -> Option<Tick> {
         let profiling = self.instr.prof.on();
         let t0 = profiling.then(Instant::now);
         let now = self.now;
@@ -600,9 +417,6 @@ impl<W> Scheduler<W> {
         world: &mut W,
         mut done: impl FnMut(Tick, &W) -> bool,
     ) -> Result<(), Stop> {
-        // The caller may have mutated the world since the last run loop
-        // (MMIO writes, queued launches): any cached wake is suspect.
-        self.cache_valid = false;
         loop {
             self.check_invariants()?;
             if done(self.now, world) {
@@ -666,7 +480,6 @@ impl<W> Scheduler<W> {
     /// does not poll the sanitizer or the budget: it is the primitive for
     /// charging fixed-latency work (e.g. MMIO transfers).
     pub fn advance_ticks(&mut self, world: &mut W, n: u64) {
-        self.cache_valid = false;
         let target = self.now + n;
         while self.now < target {
             if self.skip {
@@ -702,7 +515,6 @@ impl<W> Scheduler<W> {
     /// As [`Scheduler::run_until`]; additionally [`Stop::Invariant`] if
     /// the drain audit flags violations.
     pub fn drain(&mut self, world: &mut W) -> Result<(), Stop> {
-        self.cache_valid = false;
         loop {
             self.check_invariants()?;
             if self.quiescent(world) {
@@ -1031,10 +843,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_probe_matches_stage_order_fold() {
+    fn next_wake_matches_stage_order_fold() {
         // Step a machine tick by tick and check, at every step, that the
-        // calendar-ordered/cached probe returns exactly the stage-order
-        // fold minimum the old scan would have.
+        // probe returns exactly the fold minimum over every component.
         let (mut sched, mut world) = make(10_000, true, 6);
         for _ in 0..40 {
             let now = sched.now();
@@ -1042,18 +853,111 @@ mod tests {
                 .components()
                 .fold(None, |acc, c| earliest(acc, c.next_event(now, &world)));
             assert_eq!(sched.next_wake(&world), expect, "at tick {now}");
-            // A second probe with nothing executed in between must hit the
-            // cache and agree.
-            assert_eq!(sched.next_wake(&world), expect, "cached, at tick {now}");
             sched.tick(&mut world);
+        }
+    }
+
+    /// World of the randomized machine: every executed tick, and a mailbox
+    /// the timers post into.
+    #[derive(Default)]
+    struct Trace {
+        executed: Vec<Tick>,
+        mailbox: Vec<Tick>,
+    }
+
+    /// Fires at a seeded set of ticks, posting to the mailbox each time.
+    struct Timer {
+        /// Pending fire ticks, latest first.
+        due: Vec<Tick>,
+    }
+
+    impl Component<Trace> for Timer {
+        fn name(&self) -> &str {
+            "timer"
+        }
+        fn tick(&mut self, now: Tick, world: &mut Trace, _: &mut Instruments) {
+            if self.due.last() == Some(&now) {
+                self.due.pop();
+                world.mailbox.push(now);
+            }
+        }
+        fn next_event(&self, _: Tick, _: &Trace) -> Option<Tick> {
+            self.due.last().copied()
+        }
+        fn is_quiescent(&self, _: Tick, _: &Trace) -> bool {
+            self.due.is_empty()
+        }
+    }
+
+    /// Takes one mailbox item per clock edge; logs every executed tick.
+    struct Sink {
+        clock: ClockDomain,
+    }
+
+    impl Component<Trace> for Sink {
+        fn name(&self) -> &str {
+            "sink"
+        }
+        fn tick(&mut self, now: Tick, world: &mut Trace, _: &mut Instruments) {
+            if world.executed.last() != Some(&now) {
+                world.executed.push(now);
+            }
+            if self.clock.fires_at(now) {
+                world.mailbox.pop();
+            }
+        }
+        fn next_event(&self, now: Tick, world: &Trace) -> Option<Tick> {
+            (!world.mailbox.is_empty()).then(|| self.clock.next_edge(now))
+        }
+        fn is_quiescent(&self, _: Tick, world: &Trace) -> bool {
+            world.mailbox.is_empty()
+        }
+    }
+
+    /// Drains a seeded machine of timers and sinks, returning every tick
+    /// it executed and its final time.
+    fn run_random(seed: u64, instr: Instruments) -> (Vec<Tick>, Tick) {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut sched = Scheduler::new(1_000_000, true);
+        let mut world = Trace::default();
+        for _ in 0..1 + rng.below(4) {
+            let mut due: Vec<Tick> = (0..rng.below(20)).map(|_| rng.below(5_000)).collect();
+            due.sort_unstable_by(|a, b| b.cmp(a));
+            due.dedup();
+            sched.register(rng.below(3) as u32, Box::new(Timer { due }), &mut world);
+        }
+        for _ in 0..1 + rng.below(2) {
+            let clock = ClockDomain::from_ghz([1.0, 1.5, 2.0, 3.0][rng.below(4) as usize]);
+            sched.register(rng.below(3) as u32, Box::new(Sink { clock }), &mut world);
+        }
+        sched.set_instruments(&mut world, instr);
+        sched.drain(&mut world).unwrap();
+        assert_eq!(sched.instruments().san.count(), 0, "seed {seed}");
+        (world.executed, sched.now())
+    }
+
+    #[test]
+    fn sanitized_and_plain_runs_execute_identical_ticks() {
+        // The sanitizer and profiler check and time the same probe that
+        // plain runs use, so they must execute exactly the same ticks.
+        for seed in 0..32 {
+            let plain = run_random(seed, Instruments::disabled());
+            let mut instr = Instruments::disabled();
+            instr.san = Sanitizer::enabled();
+            assert_eq!(run_random(seed, instr.clone()), plain, "seed {seed}");
+            instr.prof = crate::profile::Profiler::enabled();
+            assert_eq!(run_random(seed, instr), plain, "seed {seed}");
+            assert!(
+                (plain.0.len() as u64) < plain.1.max(1),
+                "seed {seed}: nothing skipped"
+            );
         }
     }
 
     #[test]
     fn stale_wake_is_still_caught_with_sanitizer_on() {
         // A component that promises a wake and then moves it: the
-        // sanitized run loop (which takes the stage-order scan path, not
-        // the calendar) must still flag the broken promise after a jump.
+        // sanitized run loop must flag the broken promise after a jump.
         struct Flake;
         impl Component<()> for Flake {
             fn name(&self) -> &str {

@@ -298,8 +298,8 @@ mod tests {
     }
 
     /// Clock bug on purpose: reports its wake one tick in the past once
-    /// time has started moving — the classic off-by-one a calendar-queue
-    /// scheduler would silently mask by rotating past the bucket.
+    /// time has started moving — the classic off-by-one that the wake
+    /// fold's `>= now` early exit would otherwise silently mask.
     struct Tardy;
 
     impl Component<()> for Tardy {

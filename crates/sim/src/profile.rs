@@ -5,7 +5,7 @@
 //! component of the machine the *simulator itself* spends host nanoseconds
 //! in, how many executed (non-skipped) ticks each component was scheduled
 //! for, which component's `next_event` kept waking the machine, and how
-//! much simulated time the skip-ahead fast path jumped over.
+//! much simulated time skip-ahead jumped over.
 //!
 //! A [`Profiler`] is the third member of the scheduler's
 //! [`Instruments`](crate::component::Instruments) bundle, next to the

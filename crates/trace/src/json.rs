@@ -5,6 +5,9 @@
 //! this small recursive-descent parser instead of `serde`. It accepts
 //! strict JSON (no comments, no trailing commas) — exactly what the
 //! exporters produce — and is not meant as a general-purpose library.
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep, so hostile input
+//! (a network request line, say) gets an error instead of overflowing the
+//! stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -82,11 +85,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses `input` as a single JSON document.
+///
+/// # Errors
+///
+/// A [`ParseError`] for malformed input, or for arrays and objects nested
+/// more than [`MAX_DEPTH`] deep.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -100,6 +112,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -137,8 +151,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -306,6 +331,19 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&deep).unwrap_err().msg, "nesting too deep");
+        // 1 MB of `[` must be an error, not a stack overflow.
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!((err.at, err.msg), (MAX_DEPTH, "nesting too deep"));
+        let err = parse(&"{\"a\":".repeat(1 << 16)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
     }
 
     #[test]

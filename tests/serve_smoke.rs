@@ -8,9 +8,13 @@
 //! covers the scenario families, not just the six paper points.
 
 use distda_bench::try_run_matrix;
-use distda_serve::{encode_result, fetch_metrics, Client, ServeConfig, Server, SweepReply};
+use distda_serve::{
+    encode_result, fetch_metrics, Client, ServeConfig, Server, SweepReply, MAX_LINE_BYTES,
+};
 use distda_system::{ConfigKind, RunConfig};
 use distda_workloads::{nw, pointer_chase, Scale};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 #[test]
 fn served_sweep_dedupes_and_matches_direct_simulation() {
@@ -107,4 +111,45 @@ fn served_sweep_dedupes_and_matches_direct_simulation() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn hostile_request_lines_get_errors_and_the_connection_survives() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue: 4,
+        cache_mem: 4,
+        cache_dir: None,
+        cache_bytes: 0,
+    })
+    .expect("bind ephemeral port");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply line");
+        line
+    };
+
+    // A line past the cap is refused without buffering it whole.
+    let oversized = format!("{{\"req\":\"{}\"}}\n", "x".repeat(2 * MAX_LINE_BYTES));
+    writer.write_all(oversized.as_bytes()).expect("send");
+    let err = reply();
+    assert!(err.contains("\"event\":\"error\""), "{err}");
+    assert!(err.contains("longer than"), "{err}");
+
+    // Nesting under the cap but past the JSON depth bound is an error too,
+    // not a stack overflow that takes the daemon down.
+    writer
+        .write_all(format!("{}\n", "[".repeat(MAX_LINE_BYTES / 2)).as_bytes())
+        .expect("send");
+    let err = reply();
+    assert!(err.contains("nesting too deep"), "{err}");
+
+    // The same connection still serves well-formed requests.
+    writer.write_all(b"{\"req\":\"ping\"}\n").expect("send");
+    assert!(reply().contains("pong"));
+    server.shutdown();
 }
