@@ -28,7 +28,7 @@
 
 use distda_obs::Registry;
 use distda_system::{ConfigKind, RunConfig};
-use distda_trace::{chrome, csvout, json, summary, Tracer};
+use distda_trace::{chrome, csvout, json, slug, summary, Tracer};
 use distda_workloads::{suite, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -87,12 +87,6 @@ fn config_by_label(label: &str) -> Option<RunConfig> {
         .into_iter()
         .find(|k| k.label().eq_ignore_ascii_case(label))
         .map(RunConfig::named)
-}
-
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
 }
 
 fn main() -> ExitCode {

@@ -18,7 +18,7 @@
 
 use distda_energy::{EnergyBreakdown, EnergyCounters};
 use distda_system::RunResult;
-use distda_trace::Report;
+use distda_trace::{slug, Report};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -267,12 +267,6 @@ pub fn verify_entry(contents: &str) -> Result<&str, String> {
         ));
     }
     Ok(payload)
-}
-
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
 }
 
 /// Running totals of cache traffic.

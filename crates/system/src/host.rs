@@ -12,11 +12,15 @@
 use distda_ir::trace::{DynOp, OpKind, NO_DEP};
 use distda_mem::{MemRequest, MemSystem, PortId};
 use distda_sim::time::{ClockDomain, Tick};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 const UNASSIGNED: Tick = u64::MAX;
 const PENDING: Tick = u64::MAX - 1;
+/// Tag bit on an in-flight store's `done` entry: the rest of the word is
+/// the tick its data forwards from the store buffer. Simulated ticks never
+/// reach bit 63, and `UNASSIGNED`/`PENDING` carry it too, so a plain
+/// completion time is exactly a value below `STORE_FWD`.
+const STORE_FWD: Tick = 1 << 63;
 /// Memory requests the core may start per cycle (L1 ports).
 const FIRES_PER_CYCLE: u32 = 2;
 
@@ -39,12 +43,13 @@ pub struct HostCore {
     rob: usize,
     port: PortId,
     trace: Vec<DynOp>,
+    /// Per op: its completion tick, `UNASSIGNED`, `PENDING` (in-flight
+    /// load), or `STORE_FWD | t` (in-flight store forwarding at `t`).
     done: Vec<Tick>,
-    /// Store-forwarding time per op (stores only; data available to
-    /// dependents one cycle after issue, via the store buffer).
-    fwd: Vec<Tick>,
     next_assign: usize,
-    fire: BinaryHeap<Reverse<(Tick, u32)>>,
+    /// Memory ops waiting to fire, as `(issue tick, op index)`. Assignment
+    /// issues in nondecreasing cycle order, so this is a FIFO.
+    fire: VecDeque<(Tick, u32)>,
     bw_cycle: u64,
     bw_used: u32,
     inflight: usize,
@@ -66,9 +71,8 @@ impl HostCore {
             port,
             trace: Vec::new(),
             done: Vec::new(),
-            fwd: Vec::new(),
             next_assign: 0,
-            fire: BinaryHeap::new(),
+            fire: VecDeque::new(),
             bw_cycle: 0,
             bw_used: 0,
             inflight: 0,
@@ -88,7 +92,8 @@ impl HostCore {
         self.stats
     }
 
-    /// Loads the next host-executed trace segment.
+    /// Loads the next host-executed trace segment. The core holds `ops`
+    /// until [`HostCore::unload_segment`] hands the buffer back.
     ///
     /// # Panics
     ///
@@ -97,8 +102,6 @@ impl HostCore {
         assert!(self.segment_drained(now), "segment loaded while busy");
         self.done.clear();
         self.done.resize(ops.len(), UNASSIGNED);
-        self.fwd.clear();
-        self.fwd.resize(ops.len(), UNASSIGNED);
         self.trace = ops;
         self.next_assign = 0;
         self.bw_cycle = self.clock.cycles_in(now);
@@ -106,6 +109,20 @@ impl HostCore {
         self.finish_time = now;
         self.dirty = true;
         self.stats.segments += 1;
+    }
+
+    /// Returns the drained segment's buffer, emptied with its allocation
+    /// kept, so the caller can refill it with the next segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment has not drained by `now`.
+    pub fn unload_segment(&mut self, now: Tick) -> Vec<DynOp> {
+        assert!(self.segment_drained(now), "segment unloaded while busy");
+        self.next_assign = 0;
+        let mut ops = std::mem::take(&mut self.trace);
+        ops.clear();
+        ops
     }
 
     /// Earliest tick `>= now` at which [`HostCore::tick`] would make
@@ -123,8 +140,8 @@ impl HostCore {
         }
         let fire = self
             .fire
-            .peek()
-            .map(|&Reverse((t, _))| self.clock.next_edge(t.max(now)));
+            .front()
+            .map(|&(t, _)| self.clock.next_edge(t.max(now)));
         let finish = (self.next_assign == self.trace.len()
             && self.inflight == 0
             && self.fire.is_empty()
@@ -150,13 +167,13 @@ impl HostCore {
     /// if unknown (in-flight load). Stores forward from the store buffer.
     fn known_time(&self, j: usize) -> Option<Tick> {
         let d = self.done[j];
-        if d < PENDING {
-            return Some(d);
+        if d < STORE_FWD {
+            Some(d)
+        } else if d < PENDING {
+            Some(d & !STORE_FWD)
+        } else {
+            None
         }
-        if d == PENDING && self.fwd[j] != UNASSIGNED {
-            return Some(self.fwd[j]);
-        }
-        None
     }
 
     /// Advances one base tick, firing memory requests into `mem`.
@@ -166,7 +183,12 @@ impl HostCore {
             let mut rx = mem.responses(self.port).rx();
             while let Some(resp) = rx.accept() {
                 let idx = resp.id as usize;
-                if idx < self.done.len() && self.done[idx] == PENDING {
+                // In flight: `PENDING` or a tagged store, never `UNASSIGNED`.
+                if self
+                    .done
+                    .get(idx)
+                    .is_some_and(|&d| d >= STORE_FWD && d != UNASSIGNED)
+                {
                     self.done[idx] = now;
                     self.finish_time = self.finish_time.max(now);
                     self.inflight -= 1;
@@ -182,13 +204,13 @@ impl HostCore {
         // Fire due memory requests, bounded by L1 ports.
         let mut fired = 0;
         while fired < FIRES_PER_CYCLE {
-            let Some(&Reverse((t, idx))) = self.fire.peek() else {
+            let Some(&(t, idx)) = self.fire.front() else {
                 break;
             };
             if t > now {
                 break;
             }
-            self.fire.pop();
+            self.fire.pop_front();
             let op = self.trace[idx as usize];
             let (addr, write) = match op.kind {
                 OpKind::Load { addr } => (addr, false),
@@ -253,20 +275,31 @@ impl HostCore {
                 }
                 OpKind::Load { .. } => {
                     self.done[i] = PENDING;
-                    self.fire.push(Reverse((issue_tick, i as u32)));
-                    self.stats.mem_ops += 1;
+                    self.push_fire(issue_tick, i as u32);
                 }
                 OpKind::Store { .. } => {
-                    self.done[i] = PENDING;
                     // Data forwards from the store buffer next cycle.
-                    self.fwd[i] = issue_tick + self.clock.ticks_for_cycles(1);
-                    self.fire.push(Reverse((issue_tick, i as u32)));
-                    self.stats.mem_ops += 1;
+                    self.done[i] = STORE_FWD | (issue_tick + self.clock.ticks_for_cycles(1));
+                    self.push_fire(issue_tick, i as u32);
                 }
             }
             self.stats.retired += 1;
             self.next_assign += 1;
         }
+    }
+
+    /// Queues a memory op to fire and counts it. Issue ticks never decrease
+    /// (`bw_cycle` only grows) and indices only grow, so FIFO order is time
+    /// order.
+    fn push_fire(&mut self, issue_tick: Tick, idx: u32) {
+        debug_assert!(
+            self.fire
+                .back()
+                .is_none_or(|&last| last < (issue_tick, idx)),
+            "memory ops must fire in issue order"
+        );
+        self.fire.push_back((issue_tick, idx));
+        self.stats.mem_ops += 1;
     }
 }
 
@@ -285,6 +318,33 @@ mod tests {
         (host, mem, mesh)
     }
 
+    /// One base tick of host, memory hierarchy and mesh.
+    fn step(
+        host: &mut HostCore,
+        mem: &mut MemSystem,
+        mesh: &mut distda_noc::Mesh<distda_mem::MemMsg>,
+        t: Tick,
+    ) {
+        host.tick(t, mem);
+        mem.tick(t);
+        {
+            let out = mem.outgoing();
+            while let Some(&p) = out.front() {
+                if mesh.try_inject(t, p).is_err() {
+                    out.note_stalls(1);
+                    break;
+                }
+                out.rx().accept();
+            }
+        }
+        mesh.tick(t);
+        for n in 0..mesh.node_count() {
+            for pkt in mesh.drain_inbox(n) {
+                mem.deliver(t, pkt);
+            }
+        }
+    }
+
     fn pump(
         host: &mut HostCore,
         mem: &mut MemSystem,
@@ -294,24 +354,7 @@ mod tests {
     ) -> Tick {
         let mut t = start;
         while !host.segment_drained(t) {
-            host.tick(t, mem);
-            mem.tick(t);
-            {
-                let out = mem.outgoing();
-                while let Some(&p) = out.front() {
-                    if mesh.try_inject(t, p).is_err() {
-                        out.note_stalls(1);
-                        break;
-                    }
-                    out.rx().accept();
-                }
-            }
-            mesh.tick(t);
-            for n in 0..mesh.node_count() {
-                for pkt in mesh.drain_inbox(n) {
-                    mem.deliver(t, pkt);
-                }
-            }
+            step(host, mem, mesh, t);
             t += 1;
             assert!(t < start + budget, "host hung");
         }
@@ -422,11 +465,48 @@ mod tests {
         let (mut host, mut mem, mut mesh) = rig();
         host.load_segment(0, vec![alu(NO_DEP, NO_DEP); 10]);
         let t1 = pump(&mut host, &mut mem, &mut mesh, 0, 100_000);
-        host.load_segment(t1, vec![alu(NO_DEP, NO_DEP); 10]);
+        let mut ops = host.unload_segment(t1);
+        assert!(ops.is_empty() && host.trace.is_empty());
+        assert!(host.segment_drained(t1));
+        ops.resize(10, alu(NO_DEP, NO_DEP));
+        host.load_segment(t1, ops);
         let t2 = pump(&mut host, &mut mem, &mut mesh, t1, 100_000);
         assert!(t2 > t1);
         assert_eq!(host.stats().retired, 20);
         assert_eq!(host.stats().segments, 2);
+    }
+
+    #[test]
+    fn store_forwards_until_its_response_then_shows_the_response_tick() {
+        let (mut host, mut mem, mut mesh) = rig();
+        let clock = ClockDomain::from_ghz(2.0);
+        let store = DynOp {
+            kind: OpKind::Store { addr: 0x30_0000 },
+            dep1: NO_DEP,
+            dep2: NO_DEP,
+        };
+        host.load_segment(0, vec![store, alu(0, NO_DEP)]);
+        step(&mut host, &mut mem, &mut mesh, 0);
+        // The store issued on the edge at tick 0 and missed. While it is in
+        // flight its data forwards from the store buffer one cycle later,
+        // and the dependent assigned on that edge issues then.
+        let fwd = clock.ticks_for_cycles(1);
+        assert_eq!(host.known_time(0), Some(fwd));
+        assert_eq!(host.done[1], fwd + clock.ticks_for_cycles(1));
+        let mut t = 1;
+        while host.known_time(0) == Some(fwd) {
+            step(&mut host, &mut mem, &mut mesh, t);
+            t += 1;
+            assert!(t < 1_000_000, "store response never arrived");
+        }
+        // The response was accepted on tick `t - 1`: from then on a
+        // dependent sees that tick, not the forwarding time.
+        let resp = t - 1;
+        assert!(resp > fwd, "a missing store completes after it forwards");
+        assert_eq!(host.known_time(0), Some(resp));
+        let end = pump(&mut host, &mut mem, &mut mesh, t, 1_000_000);
+        assert_eq!(host.known_time(0), Some(resp));
+        assert!(host.segment_drained(end));
     }
 
     #[test]

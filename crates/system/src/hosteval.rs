@@ -5,13 +5,25 @@
 //! retired operation is appended to the current *segment*. Segments are
 //! handed to the [`HostCore`](crate::host::HostCore) timing model at
 //! offload boundaries (dependences never need to cross a segment because
-//! boundaries are synchronization points).
+//! boundaries are synchronization points) and whenever a host loop
+//! iteration ends with the segment past [`SEGMENT_FLUSH_OPS`].
+//!
+//! One segment buffer serves the whole run: it is reserved once, lent to
+//! the timing model by [`Machine::run_host_segment`](crate::machine::Machine::run_host_segment)
+//! and handed back empty.
 
 use distda_ir::expr::{ArrayId, Expr, ScalarId};
 use distda_ir::interp::Memory;
 use distda_ir::program::Program;
 use distda_ir::trace::{DynOp, Layout, OpKind, NO_DEP};
 use distda_ir::value::Value;
+
+/// A segment is full once it holds more than this many ops; the walker
+/// flushes it at the end of the loop iteration that crossed the line.
+pub const SEGMENT_FLUSH_OPS: usize = 1 << 20;
+/// Room past [`SEGMENT_FLUSH_OPS`] for the rest of the iteration that
+/// crosses it, so a full segment fits the buffer reserved up front.
+const SEGMENT_SLACK_OPS: usize = 4096;
 
 /// Incremental host evaluator. See the module docs.
 #[derive(Debug)]
@@ -36,7 +48,7 @@ impl HostEval {
             scalars: prog.scalars.iter().map(|s| s.init).collect(),
             scalar_src: vec![NO_DEP; prog.scalars.len()],
             loop_vars: vec![0; prog.loop_var_count],
-            seg: Vec::new(),
+            seg: Vec::with_capacity(SEGMENT_FLUSH_OPS + SEGMENT_SLACK_OPS),
             store_stamp: prog
                 .arrays
                 .iter()
@@ -51,18 +63,22 @@ impl HostEval {
         &self.layout
     }
 
-    /// Removes and returns the current segment, resetting dependence state.
-    pub fn take_segment(&mut self) -> Vec<DynOp> {
+    /// Ends the current segment, resetting dependence state, and returns
+    /// its buffer. The caller must leave the buffer empty before the next
+    /// op is emitted; [`Machine::run_host_segment`](crate::machine::Machine::run_host_segment)
+    /// does.
+    pub fn end_segment(&mut self) -> &mut Vec<DynOp> {
         self.epoch += 1;
         for s in &mut self.scalar_src {
             *s = NO_DEP;
         }
-        std::mem::take(&mut self.seg)
+        &mut self.seg
     }
 
-    /// Ops accumulated in the current segment.
-    pub fn segment_len(&self) -> usize {
-        self.seg.len()
+    /// Whether the segment is past [`SEGMENT_FLUSH_OPS`] and must be
+    /// flushed at the end of the current loop iteration.
+    pub fn segment_full(&self) -> bool {
+        self.seg.len() > SEGMENT_FLUSH_OPS
     }
 
     fn emit(&mut self, kind: OpKind, dep1: u32, dep2: u32) -> u32 {
@@ -172,7 +188,7 @@ mod tests {
         let (v, dep) = ev.eval(&e, &mut mem);
         assert_eq!(v, Value::I(31));
         assert_ne!(dep, distda_ir::NO_DEP);
-        assert_eq!(ev.segment_len(), 2); // load + add
+        assert_eq!(ev.seg.len(), 2); // load + add
     }
 
     #[test]
@@ -181,8 +197,8 @@ mod tests {
         ev.store(ArrayId(0), &Expr::c(2), &Expr::c(7), &mut mem);
         let (v, _) = ev.eval(&Expr::load(ArrayId(0), Expr::c(2)), &mut mem);
         assert_eq!(v, Value::I(7));
-        let seg = ev.take_segment();
-        let load = seg
+        let load = ev
+            .seg
             .iter()
             .find(|o| matches!(o.kind, distda_ir::OpKind::Load { .. }))
             .unwrap();
@@ -194,10 +210,34 @@ mod tests {
     fn segments_reset_dependences() {
         let (_, mut ev, mut mem) = setup();
         ev.store(ArrayId(0), &Expr::c(1), &Expr::c(9), &mut mem);
-        ev.take_segment();
+        ev.end_segment().clear();
         let (_, _) = ev.eval(&Expr::load(ArrayId(0), Expr::c(1)), &mut mem);
-        let seg = ev.take_segment();
-        assert_eq!(seg[0].dep2, distda_ir::NO_DEP, "cross-segment dep dropped");
+        assert_eq!(
+            ev.end_segment()[0].dep2,
+            distda_ir::NO_DEP,
+            "cross-segment dep dropped"
+        );
+    }
+
+    #[test]
+    fn segment_is_full_at_the_first_iteration_boundary_past_the_limit() {
+        let (_, mut ev, mut mem) = setup();
+        let (ptr, cap) = (ev.seg.as_ptr(), ev.seg.capacity());
+        // The walker's host loop: an overhead op and the body, then the
+        // flush check at the end of the iteration. Three ops per iteration
+        // do not divide the limit, so the crossing iteration runs past it.
+        let mut iterations = 0;
+        while !ev.segment_full() {
+            ev.emit_loop_overhead();
+            let val = Expr::load(ArrayId(0), Expr::c(1));
+            ev.store(ArrayId(0), &Expr::c(1), &val, &mut mem);
+            iterations += 1;
+        }
+        assert_eq!(iterations, SEGMENT_FLUSH_OPS / 3 + 1);
+        assert_eq!(ev.seg.len(), 3 * iterations);
+        assert!(ev.seg.len() - 3 <= SEGMENT_FLUSH_OPS);
+        // The full segment fit the buffer reserved up front.
+        assert_eq!((ev.seg.as_ptr(), ev.seg.capacity()), (ptr, cap));
     }
 
     #[test]

@@ -1417,12 +1417,13 @@ impl Machine {
         outs
     }
 
-    /// Executes a host trace segment to completion.
+    /// Executes the host trace segment in `ops` to completion and hands the
+    /// buffer back empty, its allocation kept for the next segment.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the segment cannot drain within the budget.
-    pub fn run_host_segment(&mut self, ops: Vec<DynOp>) -> Result<(), SimError> {
+    pub fn run_host_segment(&mut self, ops: &mut Vec<DynOp>) -> Result<(), SimError> {
         if ops.is_empty() {
             return Ok(());
         }
@@ -1433,8 +1434,10 @@ impl Machine {
                 ops: ops.len() as u64,
             },
         );
-        self.st.host.load_segment(now, ops);
-        self.run_until("host-segment", |now, st| st.host.segment_drained(now))
+        self.st.host.load_segment(now, std::mem::take(ops));
+        self.run_until("host-segment", |now, st| st.host.segment_drained(now))?;
+        *ops = self.st.host.unload_segment(self.now());
+        Ok(())
     }
 
     /// Advances the machine `n` base ticks.
@@ -1815,14 +1818,14 @@ mod tests {
         // Host writes x[0..4] first (trace ops), then offload runs.
         use distda_ir::trace::{DynOp, OpKind, NO_DEP};
         let base = m.layout().base(x);
-        let ops: Vec<DynOp> = (0..4)
+        let mut ops: Vec<DynOp> = (0..4)
             .map(|i| DynOp {
                 kind: OpKind::Store { addr: base + i * 8 },
                 dep1: NO_DEP,
                 dep2: NO_DEP,
             })
             .collect();
-        m.run_host_segment(ops).unwrap();
+        m.run_host_segment(&mut ops).unwrap();
         let t_after_host = m.now();
         assert!(t_after_host > 0);
         let plan = &ck.offloads[0];
@@ -1831,6 +1834,34 @@ mod tests {
         m.run_offload(h).unwrap();
         assert!(m.now() > t_after_host);
         assert_eq!(m.host_stats().retired, 4);
+    }
+
+    #[test]
+    fn host_segments_reuse_one_buffer() {
+        let (_p, _ck, mut m, x, _y) = axpy_setup();
+        use distda_ir::trace::{DynOp, OpKind, NO_DEP};
+        let base = m.layout().base(x);
+        let op = |i: u64, write: bool| DynOp {
+            kind: if write {
+                OpKind::Store { addr: base + i * 8 }
+            } else {
+                OpKind::Load { addr: base + i * 8 }
+            },
+            dep1: NO_DEP,
+            dep2: NO_DEP,
+        };
+        let mut ops: Vec<DynOp> = Vec::with_capacity(16);
+        let (ptr, cap) = (ops.as_ptr(), ops.capacity());
+        ops.extend((0..8).map(|i| op(i, true)));
+        m.run_host_segment(&mut ops).unwrap();
+        assert!(ops.is_empty(), "the drained segment comes back empty");
+        assert_eq!((ops.as_ptr(), ops.capacity()), (ptr, cap));
+        ops.extend((0..8).map(|i| op(i, false)));
+        m.run_host_segment(&mut ops).unwrap();
+        assert!(ops.is_empty());
+        assert_eq!((ops.as_ptr(), ops.capacity()), (ptr, cap));
+        assert_eq!(m.host_stats().retired, 16);
+        assert_eq!(m.host_stats().segments, 2);
     }
 
     #[test]

@@ -22,11 +22,8 @@ use distda_mem::{MemConfig, MemSystem};
 use distda_noc::TrafficClass;
 use distda_sim::time::{ticks_to_ns, ClockDomain, Tick};
 use distda_sim::Report;
-use distda_trace::Tracer;
+use distda_trace::{slug, Tracer};
 use std::collections::HashMap;
-
-/// Flush the host trace segment when it grows past this many ops.
-const SEGMENT_FLUSH_OPS: usize = 1 << 20;
 
 /// Which correctness machinery a run engages (the `distda-check`
 /// subsystem).
@@ -213,32 +210,44 @@ pub fn try_simulate_capture_with_ref(
             &Tracer::disabled(),
             policy,
         )?;
-        let key = |r: &RunResult| {
-            format!(
-                "{:?} {:?}",
-                (r.ticks, &r.counters, &r.energy, r.cache_accesses),
-                (
-                    r.mem_ops,
-                    r.total_ops,
-                    r.host_ops,
-                    r.intra_bytes,
-                    r.da_bytes,
-                    r.aa_bytes,
-                    r.noc_bytes,
-                    r.data_moved_bytes,
-                    r.validated,
-                )
-            )
-        };
         assert_eq!(
-            key(&out.0),
-            key(&base.0),
+            skip_check_key(&out.0),
+            skip_check_key(&base.0),
             "skip-ahead diverged from tick-by-tick on {} / {}",
             out.0.kernel,
             out.0.config
         );
     }
     Ok(out)
+}
+
+/// What the `DISTDA_CHECK_SKIP` cross-check compares: every field of the
+/// result, with floats and every report value compared bit for bit.
+fn skip_check_key(r: &RunResult) -> String {
+    let report: Vec<(&str, u64)> = r.report.iter().map(|(k, v)| (k, v.to_bits())).collect();
+    format!(
+        "{:?} {:?} {report:?}",
+        (
+            &r.kernel,
+            &r.config,
+            r.ticks,
+            r.ns.to_bits(),
+            &r.counters,
+            &r.energy,
+            r.cache_accesses,
+        ),
+        (
+            r.mem_ops,
+            r.total_ops,
+            r.host_ops,
+            r.intra_bytes,
+            r.da_bytes,
+            r.aa_bytes,
+            r.noc_bytes,
+            r.data_moved_bytes,
+            r.validated,
+        )
+    )
 }
 
 /// [`simulate_capture`] with an explicit skip-ahead override (`None` keeps
@@ -319,11 +328,6 @@ pub fn simulate_traced_with_skip(
 /// Writes the Chrome trace of an env-enabled run to
 /// `results/trace_<kernel>_<config>.json`.
 fn auto_export(tracer: &Tracer, r: &RunResult) {
-    let slug = |s: &str| -> String {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect()
-    };
     let dir = std::path::Path::new("results");
     let path = dir.join(format!(
         "trace_{}_{}.json",
@@ -458,11 +462,6 @@ pub fn try_simulate_explained(
 /// Writes the self-profile table of an env-enabled run to
 /// `results/profile_<kernel>_<config>.txt`.
 fn auto_export_profile(snap: &distda_sim::ProfileSnapshot, r: &RunResult) {
-    let slug = |s: &str| -> String {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect()
-    };
     let dir = std::path::Path::new("results");
     let path = dir.join(format!(
         "profile_{}_{}.txt",
@@ -779,11 +778,6 @@ fn try_simulate_core(
 /// Writes the causal tree of an env-enabled (`DISTDA_EXPLAIN`) run to
 /// `results/explain_<kernel>_<config>.txt`.
 fn auto_export_explain(x: &distda_explain::Explanation, r: &RunResult) {
-    let slug = |s: &str| -> String {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect()
-    };
     let dir = std::path::Path::new("results");
     let path = dir.join(format!(
         "explain_{}_{}.txt",
@@ -981,7 +975,7 @@ fn run_host_phase(
             exec_scalar_stmt(s, eval, mem);
         }
     }
-    machine.run_host_segment(eval.take_segment())
+    machine.run_host_segment(eval.end_segment())
 }
 
 /// Jain's fairness index over per-tenant progress rates: 1.0 when every
@@ -1124,7 +1118,7 @@ fn run_tenants(
             let (ev, _) = eval.eval(&l.end, mem);
             (sv, ev)
         };
-        machine.run_host_segment(eval.take_segment())?;
+        machine.run_host_segment(eval.end_segment())?;
         let placement = place_partitions(&plan, &allocs[t], cfg.kind, topo.host_node);
         let substrates = substrates_for(&plan, cfg);
         let ranges: Vec<(u64, u64)> = {
@@ -1240,8 +1234,7 @@ impl Walker<'_> {
     }
 
     fn flush(&mut self) -> Result<(), SimError> {
-        let ops = self.eval.take_segment();
-        self.machine.run_host_segment(ops)
+        self.machine.run_host_segment(self.eval.end_segment())
     }
 
     fn exec(&mut self, s: &Stmt) -> Result<(), SimError> {
@@ -1287,7 +1280,7 @@ impl Walker<'_> {
             self.eval.loop_vars[l.var.0] = i;
             self.eval.emit_loop_overhead();
             self.exec_block(&l.body)?;
-            if self.eval.segment_len() > SEGMENT_FLUSH_OPS {
+            if self.eval.segment_full() {
                 self.flush()?;
             }
             i += l.step;
@@ -1508,6 +1501,22 @@ mod tests {
             assert!(r.validated, "{} failed validation", cfg.label());
             assert!(r.ticks > 0);
         }
+    }
+
+    #[test]
+    fn skip_check_key_covers_every_report_value() {
+        let (p, init) = axpy(64);
+        let r = simulate(&p, &init, &RunConfig::named(ConfigKind::OoO));
+        let (key, _) = r.report.iter().next().expect("runs report statistics");
+        let key = key.to_owned();
+        let v = r.report.get(&key).unwrap();
+        let mut nudged = r.clone();
+        nudged.report.add(key, f64::from_bits(v.to_bits() ^ 1));
+        assert_ne!(skip_check_key(&r), skip_check_key(&nudged));
+        let mut negated = r.clone();
+        negated.ns = -r.ns;
+        assert_ne!(skip_check_key(&r), skip_check_key(&negated));
+        assert_eq!(skip_check_key(&r), skip_check_key(&r.clone()));
     }
 
     #[test]

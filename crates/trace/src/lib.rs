@@ -68,6 +68,18 @@ pub type Tick = u64;
 
 use std::sync::{Arc, Mutex};
 
+/// A name as it appears in artifact file names: every character that is not
+/// ASCII alphanumeric becomes `-`.
+///
+/// ```
+/// assert_eq!(distda_trace::slug("Dist-DA-IO:8x4/b8"), "Dist-DA-IO-8x4-b8");
+/// ```
+pub fn slug(s: &str) -> String {
+    s.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+        .collect()
+}
+
 /// Default per-component event-ring capacity.
 pub const DEFAULT_EVENT_CAP: usize = 65_536;
 /// Default per-series point capacity.

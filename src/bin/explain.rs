@@ -24,6 +24,7 @@
 
 use distda::explain::{render_json, render_text, top_bottleneck};
 use distda::system::{ConfigKind, RunConfig};
+use distda::trace::slug;
 use distda::workloads::{suite, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -70,12 +71,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
 }
 
 fn run() -> Result<u32, String> {

@@ -115,14 +115,14 @@ fn host_segment_completion_jump_conforms() {
     let (_p, ck, mut m, _y) = scaled_setup(64);
     use distda::ir::trace::{DynOp, OpKind, NO_DEP};
     let base = m.layout().base(ArrayId(0));
-    let ops: Vec<DynOp> = (0..16)
+    let mut ops: Vec<DynOp> = (0..16)
         .map(|i| DynOp {
             kind: OpKind::Store { addr: base + i * 8 },
             dep1: NO_DEP,
             dep2: NO_DEP,
         })
         .collect();
-    m.run_host_segment(ops).unwrap();
+    m.run_host_segment(&mut ops).unwrap();
     let plan = &ck.offloads[0];
     let subs = vec![io_substrate(2.0); plan.partitions.len()];
     let h = m.configure_plan(plan, &[0, 1], &subs, &[]);

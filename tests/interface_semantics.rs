@@ -112,7 +112,7 @@ fn configure_flushes_host_cached_objects() {
     // Warm the host caches over x's range.
     use distda::ir::trace::{DynOp, OpKind, NO_DEP};
     let (start, _end) = m.layout().range(&p, ArrayId(0));
-    let ops: Vec<DynOp> = (0..32)
+    let mut ops: Vec<DynOp> = (0..32)
         .map(|i| DynOp {
             kind: OpKind::Store {
                 addr: start + i * 8,
@@ -121,7 +121,7 @@ fn configure_flushes_host_cached_objects() {
             dep2: NO_DEP,
         })
         .collect();
-    m.run_host_segment(ops).unwrap();
+    m.run_host_segment(&mut ops).unwrap();
     let plan = &ck.offloads[0];
     let subs = vec![io_substrate(); plan.partitions.len()];
     let ranges = [(start, start + 256 * 8)];
